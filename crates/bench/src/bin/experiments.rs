@@ -641,7 +641,7 @@ fn seminaive() {
 fn grounding() {
     header(
         "E-grounding · fused ground+eval vs materialize-then-eval",
-        "streaming grounded rules straight into the ⊕-worklist skips the grounded-rule vector: the end-to-end win on TC over gnm grows with instance size toward 2× as the rule vector hits the allocator wall; a magic-set point query grounds <10% of the full program",
+        "streaming grounded rules straight into the ⊕-worklist skips phase 2 and the rule store: fused beats materialize-then-eval end-to-end on TC over gnm at every size; a magic-set point query grounds <10% of the full program",
     );
     let tc = programs::transitive_closure();
     let unit = UnitWeights::new(Tropical::new(1));
@@ -659,14 +659,12 @@ fn grounding() {
         "fused_ms",
         "speedup",
         "peak_rules",
-        "csr_KiB",
+        "rules_KiB",
         "magic_rules",
         "cone%"
     );
-    // The large row is where the materialized pipeline's rule vector
-    // (15.4M rules, ~1.5 GiB boxed) hits the allocator wall and the
-    // streaming win peaks (1.6–2.1× across runs on the noisy 1-core
-    // bench container); it adds ~2 min, so it is opt-in
+    // The large row holds the materialized pipeline's biggest rule store
+    // (15.4M rules, ~350 MiB); it adds ~3 min, so it is opt-in
     // (`GROUNDING_LARGE=1`, used to produce the committed trajectory)
     // and the CI smoke gates on the mid-size rows only.
     let mut sizes: Vec<(usize, usize, usize)> =
@@ -702,20 +700,13 @@ fn grounding() {
         );
         assert_eq!(fout.values, mout.values, "pipelines must agree");
         let speedup = mat.best_ms / fus.best_ms;
-        assert_eq!(
-            fout.retained, None,
-            "pure fixpoint queries must not retain grounded rules"
+        assert!(
+            fout.gp.rules.is_empty(),
+            "pure fixpoint queries must not store grounded rules"
         );
-
-        // Retention mode: what a session that *wants* the rules for later
-        // (provenance, incremental maintenance) pays — the CSR store vs
-        // the boxed `Vec<GroundedRule>` it replaces.
-        let retained =
-            datalog::fused_eval_retaining::<Tropical, _>(&p, &db, &unit, None, &telemetry::NOOP)
-                .expect("retaining eval");
-        let csr = retained.retained.expect("retention requested");
-        let csr_bytes = csr.heap_bytes();
-        let boxed_bytes = csr.boxed_bytes_equivalent();
+        // What a session that keeps the rules (provenance, circuits,
+        // incremental maintenance) holds: the materialized rule store.
+        let rules_bytes = gp.rules.heap_bytes();
 
         // Demand-driven: one bound-source point query grounds only the
         // magic cone — monadic facts from the source, not all n² pairs.
@@ -756,7 +747,7 @@ fn grounding() {
             fus.best_ms,
             speedup,
             gp.rules.len(),
-            csr_bytes as f64 / 1024.0,
+            rules_bytes as f64 / 1024.0,
             magic.grounded_rules,
             cone * 100.0,
         );
@@ -768,7 +759,7 @@ fn grounding() {
              \"peak_grounded_rules_materialized\": {}, \
              \"peak_grounded_rules_fused\": {}, \
              \"streamed_rules\": {}, \"fused_rounds\": {}, \
-             \"csr_retained_bytes\": {csr_bytes}, \"boxed_equivalent_bytes\": {boxed_bytes}, \
+             \"rules_bytes\": {rules_bytes}, \
              \"magic_cone_rules\": {}, \"magic_cone_fraction\": {cone:.5}}}",
             gp.num_idb_facts(),
             mat.best_ms,
@@ -799,7 +790,7 @@ fn grounding() {
         cone * 100.0
     );
     if let Some(large) = large_speedup {
-        println!("   reading: gnm(2000,8000) fused speedup {large:.2}x [fused win peaks at the rule-vector memory wall; 1.6–2.1x across runs]");
+        println!("   reading: gnm(2000,8000) fused speedup {large:.2}x [fused skips the 15.4M-rule store]");
     }
     // Regression guards, deliberately loose for noisy shared CI runners:
     // the committed trajectory records the real numbers.

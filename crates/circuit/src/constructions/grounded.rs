@@ -29,12 +29,12 @@ pub fn grounded_circuit(gp: &GroundedProgram, max_layers: Option<usize>) -> Mult
         for (fact, slot) in next.iter_mut().enumerate() {
             let mut summands = Vec::with_capacity(gp.rules_by_head[fact].len());
             for &ri in &gp.rules_by_head[fact] {
-                let rule = &gp.rules[ri];
+                let rule = gp.rules.get(ri);
                 let mut factors = Vec::with_capacity(rule.body_idb.len() + rule.body_edb.len());
-                for &i in &rule.body_idb {
-                    factors.push(vals[i]);
+                for &i in rule.body_idb {
+                    factors.push(vals[i as usize]);
                 }
-                for &f in &rule.body_edb {
+                for &f in rule.body_edb {
                     factors.push(b.input(f));
                 }
                 summands.push(b.mul_many(&factors));

@@ -77,12 +77,12 @@ where
     V: Valuation<S> + ?Sized,
 {
     let mut next = vec![S::zero(); current.len()];
-    for rule in &gp.rules {
+    for rule in gp.rules.iter() {
         let mut prod = S::one();
-        for &i in &rule.body_idb {
-            prod.mul_assign(&current[i]);
+        for &i in rule.body_idb {
+            prod.mul_assign(&current[i as usize]);
         }
-        for &f in &rule.body_edb {
+        for &f in rule.body_edb {
             prod.mul_assign(&assign.value(f));
         }
         next[rule.head].add_assign(&prod);
@@ -149,12 +149,13 @@ where
         |c| {
             let (lo, hi) = chunks_ref[c];
             let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
-            for rule in &gp.rules[lo..hi] {
+            for ri in lo..hi {
+                let rule = gp.rules.get(ri);
                 let mut prod = S::one();
-                for &i in &rule.body_idb {
-                    prod.mul_assign(&current[i]);
+                for &i in rule.body_idb {
+                    prod.mul_assign(&current[i as usize]);
                 }
-                for &f in &rule.body_edb {
+                for &f in rule.body_edb {
                     prod.mul_assign(&assign.value(f));
                 }
                 // Zero products are deposited too: the owner's fold then
@@ -612,10 +613,10 @@ where
     macro_rules! fire {
         ($ri:expr, $fired:expr) => {{
             let ri = $ri;
-            let rule = &gp.rules[ri];
+            let rule = gp.rules.get(ri);
             let mut prod = edb_factor[ri].clone();
-            for &i in &rule.body_idb {
-                prod.mul_assign(&values[i]);
+            for &i in rule.body_idb {
+                prod.mul_assign(&values[i as usize]);
             }
             if !prod.is_zero() {
                 let sum = values[rule.head].add(&prod);
@@ -809,10 +810,10 @@ where
                 let (lo, hi) = chunks_ref[c];
                 let mut buckets: Vec<Vec<(u32, S)>> = (0..owners).map(|_| Vec::new()).collect();
                 for &ri in &frontier_ref[lo..hi] {
-                    let rule = &gp.rules[ri as usize];
+                    let rule = gp.rules.get(ri as usize);
                     let mut prod = edb_factor[ri as usize].clone();
-                    for &i in &rule.body_idb {
-                        prod.mul_assign(&values_ref[i]);
+                    for &i in rule.body_idb {
+                        prod.mul_assign(&values_ref[i as usize]);
                     }
                     if !prod.is_zero() {
                         let head = rule.head as u32;
@@ -930,7 +931,7 @@ where
         .iter()
         .map(|r| {
             let mut p = S::one();
-            for &f in &r.body_edb {
+            for &f in r.body_edb {
                 p.mul_assign(&assign.value(f));
             }
             p
@@ -946,8 +947,8 @@ where
 pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
     let n = gp.num_idb_facts();
     let mut start = vec![0usize; n + 1];
-    for r in &gp.rules {
-        for_each_distinct_body_fact(r, |i| start[i + 1] += 1);
+    for r in gp.rules.iter() {
+        for_each_distinct_body_fact(r.body_idb, |i| start[i + 1] += 1);
     }
     for i in 0..n {
         start[i + 1] += start[i];
@@ -955,7 +956,7 @@ pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
     let mut deps = vec![0u32; start[n]];
     let mut cursor = start.clone();
     for (ri, r) in gp.rules.iter().enumerate() {
-        for_each_distinct_body_fact(r, |i| {
+        for_each_distinct_body_fact(r.body_idb, |i| {
             deps[cursor[i]] = ri as u32;
             cursor[i] += 1;
         });
@@ -965,10 +966,10 @@ pub fn dependency_csr(gp: &GroundedProgram) -> (Vec<usize>, Vec<u32>) {
 
 /// Visit each IDB fact of a rule body once, even when the body repeats it
 /// (bodies are tiny, so the quadratic dedup beats sorting a clone).
-fn for_each_distinct_body_fact(r: &crate::ground::GroundedRule, mut f: impl FnMut(usize)) {
-    for (k, &i) in r.body_idb.iter().enumerate() {
-        if !r.body_idb[..k].contains(&i) {
-            f(i);
+fn for_each_distinct_body_fact(body_idb: &[u32], mut f: impl FnMut(usize)) {
+    for (k, &i) in body_idb.iter().enumerate() {
+        if !body_idb[..k].contains(&i) {
+            f(i as usize);
         }
     }
 }

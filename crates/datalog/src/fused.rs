@@ -4,15 +4,14 @@
 //!
 //! The materialized pipeline pays for a pure fixpoint query three times:
 //! phase-1 discovery of the derivable facts, phase-2 enumeration of every
-//! grounding into a `Vec<GroundedRule>` (the 15M-rule, multi-GiB vector
-//! on large TC instances — 20–80× the cost of the evaluation it feeds),
-//! and finally the fixpoint over that vector. But phase 1 *already
+//! grounding into the rule store (15M rules on large TC instances, most
+//! of the cost of a query whose evaluation it merely feeds), and finally
+//! the fixpoint over that store. But phase 1 *already
 //! enumerates every grounding exactly once* — each at the round where its
 //! newest body fact appeared — and phase 2 merely re-materializes them.
 //! The fused pipeline exploits that: each discovery-round match is
 //! ⊕-accumulated into its head value on the spot and dropped. No grounded
-//! rule is ever stored (unless retention is requested, in which case each
-//! lands once in a compact CSR pool — [`fused_eval_retaining`]).
+//! rule is ever stored.
 //!
 //! # Soundness
 //!
@@ -59,12 +58,11 @@ use semiring::Semiring;
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 
 use crate::ast::Program;
-use crate::csr::CompactRules;
 use crate::database::Database;
 use crate::eval::{default_budget, naive_eval, EvalStrategy};
 use crate::fxhash::FxHashMap;
 use crate::ground::{
-    par_ground_with_limit_recorded, BodyMatch, FusedBatch, FusedGrounder, GroundedProgram,
+    par_ground_with_limit_recorded, BodyMatch, FusedBatch, GroundedProgram, Grounder,
 };
 use crate::symbols::{ConstId, PredId};
 
@@ -101,9 +99,6 @@ pub struct FusedOutcome<S> {
     /// [`EvalStrategy::SemiNaive`] for the fused path proper,
     /// [`EvalStrategy::Naive`] when the non-idempotent fallback ran.
     pub strategy: EvalStrategy,
-    /// The streamed rules in compact CSR form when retention was
-    /// requested ([`fused_eval_retaining`]); `None` otherwise.
-    pub retained: Option<CompactRules>,
 }
 
 /// Newly derived facts buffered during a round (the grounder borrows the
@@ -125,19 +120,16 @@ impl<S: Semiring> PendingFacts<S> {
     }
 }
 
-/// ⊕-accumulate one streamed grounding into its head. Returns `true` if
-/// the head was created or its value strictly changed.
+/// ⊕-accumulate one streamed grounding into its head, flagging an
+/// existing head whose value strictly changed.
 #[allow(clippy::too_many_arguments)]
 fn accumulate<S, V>(
     gp: &GroundedProgram,
     values: &mut [S],
     pending: &mut PendingFacts<S>,
     changed_flags: &mut [bool],
-    retained: &mut Option<CompactRules>,
     assign: &V,
-    record_rule: bool,
     may_create: bool,
-    rule_index: usize,
     head_pred: PredId,
     head_tuple: &[ConstId],
     body: &[BodyMatch],
@@ -146,56 +138,30 @@ fn accumulate<S, V>(
     V: Valuation<S> + ?Sized,
 {
     let mut prod = S::one();
-    let mut body_idb: Vec<usize> = Vec::new();
-    let mut body_edb: Vec<crate::database::FactId> = Vec::new();
     for m in body {
         match *m {
-            BodyMatch::Idb(i) => {
-                prod.mul_assign(&values[i]);
-                if record_rule {
-                    body_idb.push(i);
-                }
-            }
-            BodyMatch::Edb(f) => {
-                prod.mul_assign(&assign.value(f));
-                if record_rule {
-                    body_edb.push(f);
-                }
-            }
+            BodyMatch::Idb(i) => prod.mul_assign(&values[i]),
+            BodyMatch::Edb(f) => prod.mul_assign(&assign.value(f)),
         }
     }
-    let head = match gp.fact(head_pred, head_tuple) {
-        Some(h) => {
-            let before = values[h].clone();
-            values[h].add_assign(&prod);
-            if !values[h].sr_eq(&before) {
-                changed_flags[h] = true;
-            }
-            h
+    if let Some(h) = gp.fact(head_pred, head_tuple) {
+        let before = values[h].clone();
+        values[h].add_assign(&prod);
+        if !values[h].sr_eq(&before) {
+            changed_flags[h] = true;
         }
+        return;
+    }
+    let by_pred = pending.index.entry(head_pred).or_default();
+    match by_pred.get(head_tuple) {
+        Some(&pi) => pending.facts[pi].2.add_assign(&prod),
         None => {
-            let by_pred = pending.index.entry(head_pred).or_default();
-            match by_pred.get(head_tuple) {
-                Some(&pi) => {
-                    pending.facts[pi].2.add_assign(&prod);
-                    gp.num_idb_facts() + pi
-                }
-                None => {
-                    assert!(
-                        may_create,
-                        "fused re-fire reached a head the discovery passes never derived"
-                    );
-                    let pi = pending.facts.len();
-                    by_pred.insert(head_tuple.to_vec(), pi);
-                    pending.facts.push((head_pred, head_tuple.to_vec(), prod));
-                    gp.num_idb_facts() + pi
-                }
-            }
-        }
-    };
-    if record_rule {
-        if let Some(csr) = retained {
-            csr.push(rule_index, head, &body_idb, &body_edb);
+            assert!(
+                may_create,
+                "fused re-fire reached a head the discovery passes never derived"
+            );
+            by_pred.insert(head_tuple.to_vec(), pending.facts.len());
+            pending.facts.push((head_pred, head_tuple.to_vec(), prod));
         }
     }
 }
@@ -211,7 +177,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, 1, &NOOP)
+    fused_run(program, db, assign, budget, 1, &NOOP)
 }
 
 /// [`par_fused_eval_recorded`] with the no-op recorder.
@@ -226,7 +192,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, threads, &NOOP)
+    fused_run(program, db, assign, budget, threads, &NOOP)
 }
 
 /// [`fused_eval_recorded`] with the discovery joins sharded over up to
@@ -259,7 +225,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, threads, rec)
+    fused_run(program, db, assign, budget, threads, rec)
 }
 
 /// Evaluate `program` over `db` by the fused streaming pipeline,
@@ -288,29 +254,7 @@ where
     S: Semiring,
     V: Valuation<S> + ?Sized,
 {
-    fused_run(program, db, assign, budget, false, 1, rec)
-}
-
-/// [`fused_eval_recorded`], additionally retaining every streamed
-/// grounding in a [`CompactRules`] CSR store (`outcome.retained`) — the
-/// path for callers that need the rules afterwards (provenance, circuit
-/// construction, incremental maintenance) but not the boxed
-/// `Vec<GroundedRule>` form. Each grounding is recorded exactly once
-/// (discovery passes only; re-fires are value repairs, not new rules),
-/// so the store holds the same rule set as the materialized grounding —
-/// in discovery order rather than phase 2's rule-major order.
-pub fn fused_eval_retaining<S, V>(
-    program: &Program,
-    db: &Database,
-    assign: &V,
-    budget: Option<usize>,
-    rec: &dyn Recorder,
-) -> Result<FusedOutcome<S>, Error>
-where
-    S: Semiring,
-    V: Valuation<S> + ?Sized,
-{
-    fused_run(program, db, assign, budget, true, 1, rec)
+    fused_run(program, db, assign, budget, 1, rec)
 }
 
 fn fused_run<S, V>(
@@ -318,7 +262,6 @@ fn fused_run<S, V>(
     db: &Database,
     assign: &V,
     budget: Option<usize>,
-    retain: bool,
     threads: usize,
     rec: &dyn Recorder,
 ) -> Result<FusedOutcome<S>, Error>
@@ -334,7 +277,6 @@ where
         let gp = par_ground_with_limit_recorded(program, db, usize::MAX, threads, rec)?;
         let b = budget.unwrap_or_else(|| default_budget(&gp));
         let out = naive_eval::<S, _>(&gp, assign, b);
-        let retained = retain.then(|| CompactRules::from_rules(&gp.rules));
         let peak_buffered = gp.rules.len() as u64;
         return Ok(FusedOutcome {
             gp,
@@ -346,16 +288,14 @@ where
             converged: out.converged,
             peak_buffered,
             strategy: EvalStrategy::Naive,
-            retained,
         });
     }
 
     let enabled = rec.enabled();
     let span = enabled.then(std::time::Instant::now);
-    let mut fg = FusedGrounder::new(program, db, enabled)?;
+    let mut fg = Grounder::new(program, db, enabled)?;
     let mut gp = GroundedProgram::default();
     let mut values: Vec<S> = Vec::new();
-    let mut retained = retain.then(CompactRules::new);
     let mut streamed: u64 = 0;
     let mut refires: u64 = 0;
     let mut peak_buffered: u64 = 0;
@@ -401,11 +341,8 @@ where
                         &mut values,
                         &mut pending,
                         &mut changed_flags,
-                        &mut retained,
                         assign,
-                        retain,
                         true,
-                        ri as usize,
                         rule.head.pred,
                         &b.heads[ho..ho + ha],
                         &b.bodies[bo..bo + nb],
@@ -415,18 +352,15 @@ where
                 }
             }
         } else {
-            let mut sink = |ri: usize, hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
+            let mut sink = |hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
                 fired_now += 1;
                 accumulate(
                     &gp,
                     &mut values,
                     &mut pending,
                     &mut changed_flags,
-                    &mut retained,
                     assign,
-                    retain,
                     true,
-                    ri,
                     hp,
                     ht,
                     body,
@@ -443,18 +377,15 @@ where
         // Re-fire pass: repair values downstream of last round's changes.
         let mut refired_now = 0u64;
         if !changed.is_empty() {
-            let mut sink = |ri: usize, hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
+            let mut sink = |hp: PredId, ht: &[ConstId], body: &[BodyMatch]| {
                 refired_now += 1;
                 accumulate(
                     &gp,
                     &mut values,
                     &mut pending,
                     &mut changed_flags,
-                    &mut retained,
                     assign,
                     false,
-                    false,
-                    ri,
                     hp,
                     ht,
                     body,
@@ -524,7 +455,6 @@ where
         converged,
         peak_buffered,
         strategy: EvalStrategy::SemiNaive,
-        retained,
     })
 }
 
@@ -532,7 +462,7 @@ where
 mod tests {
     use super::*;
     use crate::eval::{naive_eval, semi_naive_eval};
-    use crate::ground::{ground, GroundedRule};
+    use crate::ground::ground;
     use crate::parser::parse_program;
     use graphgen::generators;
     use semiring::valuation::{AllOnes, UnitWeights};
@@ -606,30 +536,6 @@ mod tests {
         let (db2, _) = Database::from_graph(&mut p2, &g2);
         let fused2 = fused_eval::<Counting, _>(&p2, &db2, &AllOnes, None).unwrap();
         assert!(!fused2.converged);
-    }
-
-    #[test]
-    fn retention_stores_exactly_the_materialized_rule_set() {
-        fn canon(rules: &[GroundedRule]) -> Vec<(usize, usize, Vec<usize>, Vec<u32>)> {
-            let mut v: Vec<_> = rules
-                .iter()
-                .map(|r| (r.rule_index, r.head, r.body_idb.clone(), r.body_edb.clone()))
-                .collect();
-            v.sort();
-            v
-        }
-        for seed in [5u64, 17] {
-            let (p, db) = instance(8, 20, seed);
-            let gp = ground(&p, &db).unwrap();
-            let fused = fused_eval_retaining::<Bool, _>(&p, &db, &AllOnes, None, &NOOP).unwrap();
-            let csr = fused.retained.expect("retention requested");
-            assert_eq!(csr.len() as u64, fused.streamed_rules);
-            assert_eq!(
-                canon(&csr.to_rules()),
-                canon(&gp.rules),
-                "seed {seed}: fused retention must hold the phase-2 rule set"
-            );
-        }
     }
 
     #[test]

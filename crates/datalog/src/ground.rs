@@ -8,7 +8,8 @@
 //!    least one fact from the previous round's *delta frontier*, instead
 //!    of re-enumerating every match from scratch;
 //! 2. every rule is instantiated in all ways whose body holds in
-//!    EDB ∪ derivable-IDB, yielding [`GroundedRule`]s.
+//!    EDB ∪ derivable-IDB, yielding the grounded rules, stored in one
+//!    [`CompactRules`] CSR store.
 //!
 //! Both phases join through per-predicate **hash indices**: for every
 //! `(predicate, bound argument positions)` pair some rule probes, facts are
@@ -54,21 +55,9 @@ use provcirc_error::Error;
 use telemetry::{Counter, Recorder, RoundStats, Stage, NOOP};
 
 use crate::ast::{Atom, Program, Rule, Term};
+use crate::csr::CompactRules;
 use crate::database::{Database, FactId};
 use crate::symbols::{ConstId, PredId, VarSym};
-
-/// A grounded rule `idb_facts[head] :- idb_facts[i]…, x_{edb}…`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroundedRule {
-    /// Index of the originating rule in the program.
-    pub rule_index: usize,
-    /// Head fact (index into [`GroundedProgram::idb_facts`]).
-    pub head: usize,
-    /// IDB body facts (indices into [`GroundedProgram::idb_facts`]).
-    pub body_idb: Vec<usize>,
-    /// EDB body facts (provenance variables).
-    pub body_edb: Vec<FactId>,
-}
 
 /// The grounded program.
 #[derive(Clone, Debug, Default)]
@@ -83,8 +72,8 @@ pub struct GroundedProgram {
     ///
     /// [`fact`]: GroundedProgram::fact
     pub fact_index: FxHashMap<PredId, FxHashMap<Vec<ConstId>, usize>>,
-    /// All grounded rules.
-    pub rules: Vec<GroundedRule>,
+    /// All grounded rules, in grounding order.
+    pub rules: CompactRules,
     /// For each IDB fact, the grounded rules deriving it.
     pub rules_by_head: Vec<Vec<usize>>,
     /// Derivable facts grouped by predicate, each group in `idb_facts`
@@ -117,14 +106,18 @@ impl GroundedProgram {
     }
 
     /// Total size of the grounded program (the `M` of Theorem 4.3's size
-    /// analysis): grounded rules plus their body atoms.
+    /// analysis): grounded rules plus their body atoms. O(1).
     pub fn size(&self) -> usize {
-        self.rules.len()
-            + self
-                .rules
-                .iter()
-                .map(|r| r.body_idb.len() + r.body_edb.len())
-                .sum::<usize>()
+        self.rules.len() + self.rules.body_atoms()
+    }
+
+    /// Index the rules from `first` on in `rules_by_head` (rules before
+    /// `first` are already indexed), growing it to one entry per fact.
+    fn index_rules_from(&mut self, first: usize) {
+        self.rules_by_head.resize(self.idb_facts.len(), Vec::new());
+        for i in first..self.rules.len() {
+            self.rules_by_head[self.rules.get(i).head].push(i);
+        }
     }
 
     /// Append a derivable fact, keeping `fact_index` and `facts_by_pred`
@@ -419,39 +412,7 @@ pub fn par_ground_with_limit_recorded(
     rec: &dyn Recorder,
 ) -> Result<GroundedProgram, Error> {
     let enabled = rec.enabled();
-    program.validate()?;
-    let idbs = program.idbs();
-
-    // Resolve program constants into the database's domain; a rule whose
-    // constant is outside the active domain can never fire.
-    let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
-        .map(|c| db.consts.get(program.consts.name(c)))
-        .collect();
-
-    let mut slots = SlotInterner::default();
-    let plans: Vec<RulePlan> = program
-        .rules
-        .iter()
-        .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-        .collect();
-    // One delta plan per (live rule, IDB body position): the semi-naive
-    // re-fire obligations of phase 1, planned with the delta atom hoisted.
-    let delta_plans: Vec<Vec<DeltaPlan>> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(ri, rule)| {
-            if plans[ri].dead {
-                return Vec::new();
-            }
-            plans[ri]
-                .idb_positions
-                .iter()
-                .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                .collect()
-        })
-        .collect();
-    let mut indices = JoinIndices::build(&slots, db);
+    let mut g = Grounder::new(program, db, enabled)?;
 
     // Phase 1: derivable IDB facts (semi-naive Boolean fixpoint). Round 0
     // fires every rule against the empty IDB relation (only all-EDB bodies
@@ -465,17 +426,6 @@ pub fn par_ground_with_limit_recorded(
     let mut round = 0u64;
     let phase1_start = enabled.then(std::time::Instant::now);
     loop {
-        let matcher_for = |ri: usize| Matcher {
-            db,
-            gp: &gp,
-            const_map: &const_map,
-            rule: &program.rules[ri],
-            plan: &plans[ri],
-            idbs: &idbs,
-            indices: &indices,
-            count_probes: enabled,
-            probes: Cell::new(0),
-        };
         // Per work item: the facts it found plus its index-probe count.
         type Found = (Vec<(PredId, Vec<ConstId>)>, u64);
         let produced = |o: &Found| o.0.len() as u64;
@@ -495,11 +445,11 @@ pub fn par_ground_with_limit_recorded(
                 |ri| {
                     let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
                     let mut probes = 0;
-                    if !plans[ri].dead {
+                    if !g.plans[ri].dead {
                         let head_atom = &program.rules[ri].head;
-                        let m = matcher_for(ri);
+                        let m = g.matcher(ri, &gp);
                         m.enumerate(&mut |bindings, _| {
-                            let head = instantiate(head_atom, bindings, &const_map)
+                            let head = instantiate(head_atom, bindings, &g.const_map)
                                 .expect("head vars bound by safety; dead rules skipped");
                             if gp.fact(head_atom.pred, &head).is_none() {
                                 found.push((head_atom.pred, head));
@@ -518,7 +468,7 @@ pub fn par_ground_with_limit_recorded(
             // a skewed frontier no longer serializes the round.
             let ranges = crate::par::chunk_bounds(frontier, threads);
             let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
-            for (ri, dps) in delta_plans.iter().enumerate() {
+            for (ri, dps) in g.delta_plans.iter().enumerate() {
                 for di in 0..dps.len() {
                     for &(lo, hi) in &ranges {
                         tasks.push((ri, di, delta_start + lo, delta_start + hi));
@@ -535,14 +485,14 @@ pub fn par_ground_with_limit_recorded(
                     let (ri, di, lo, hi) = tasks[t];
                     let mut found: Vec<(PredId, Vec<ConstId>)> = Vec::new();
                     let head_atom = &program.rules[ri].head;
-                    let m = matcher_for(ri);
+                    let m = g.matcher(ri, &gp);
                     m.enumerate_delta(
-                        &delta_plans[ri][di],
+                        &g.delta_plans[ri][di],
                         delta_start,
                         lo,
                         hi,
                         &mut |bindings, _| {
-                            let head = instantiate(head_atom, bindings, &const_map)
+                            let head = instantiate(head_atom, bindings, &g.const_map)
                                 .expect("head vars bound by safety; dead rules skipped");
                             if gp.fact(head_atom.pred, &head).is_none() {
                                 found.push((head_atom.pred, head));
@@ -563,7 +513,7 @@ pub fn par_ground_with_limit_recorded(
             changed |= gp.push_fact(pred, tuple).is_some();
         }
         if changed {
-            indices.extend_idb(&gp);
+            g.extend_indices(&gp);
         }
         if let Some(t) = merge_start {
             rec.counter(Counter::GroundMergeNanos, t.elapsed().as_nanos() as u64);
@@ -608,18 +558,18 @@ pub fn par_ground_with_limit_recorded(
     let emitted = std::sync::atomic::AtomicUsize::new(0);
     let limited = max_rules != usize::MAX;
     let phase2_start = enabled.then(std::time::Instant::now);
-    type RuleOut = (Vec<GroundedRule>, bool, u64);
+    type RuleOut = (CompactRules, bool, u64);
     let run_rule = |rule_index: usize, range: Option<(usize, usize)>| -> RuleOut {
-        let plan = &plans[rule_index];
+        let plan = &g.plans[rule_index];
         if plan.dead {
-            return (Vec::new(), false, 0);
+            return (CompactRules::new(), false, 0);
         }
         if limited && emitted.load(std::sync::atomic::Ordering::Relaxed) > max_rules {
             // Another task already blew the cap; skip this one.
-            return (Vec::new(), true, 0);
+            return (CompactRules::new(), true, 0);
         }
         let rule = &program.rules[rule_index];
-        let mut out: Vec<GroundedRule> = Vec::new();
+        let mut out = CompactRules::new();
         let mut overflow = false;
         let mut ground_rule = |bindings: &Bindings, matches: &[BodyMatch]| {
             if limited && emitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= max_rules {
@@ -628,38 +578,15 @@ pub fn par_ground_with_limit_recorded(
                 overflow = true;
                 return ControlFlow::Break(());
             }
-            let head_tuple = instantiate(&rule.head, bindings, &const_map)
+            let head_tuple = instantiate(&rule.head, bindings, &g.const_map)
                 .expect("head vars bound by safety; dead rules skipped");
             let head = gp
                 .fact(rule.head.pred, &head_tuple)
                 .expect("head derivable at fixpoint");
-            let mut body_idb = Vec::new();
-            let mut body_edb = Vec::new();
-            for m in matches {
-                match *m {
-                    BodyMatch::Idb(i) => body_idb.push(i),
-                    BodyMatch::Edb(f) => body_edb.push(f),
-                }
-            }
-            out.push(GroundedRule {
-                rule_index,
-                head,
-                body_idb,
-                body_edb,
-            });
+            out.push(rule_index, head, matches);
             ControlFlow::Continue(())
         };
-        let m = Matcher {
-            db,
-            gp: &gp,
-            const_map: &const_map,
-            rule,
-            plan,
-            idbs: &idbs,
-            indices: &indices,
-            count_probes: enabled,
-            probes: Cell::new(0),
-        };
+        let m = g.matcher(rule_index, &gp);
         match range {
             None => m.enumerate(&mut ground_rule),
             Some((lo, hi)) => m.enumerate_outer_range(lo, hi, &mut ground_rule),
@@ -682,21 +609,11 @@ pub fn par_ground_with_limit_recorded(
         // split it into steal-granularity chunks.
         let mut sizing_probes = 0u64;
         let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (rule_index, plan) in plans.iter().enumerate() {
+        for (rule_index, plan) in g.plans.iter().enumerate() {
             if plan.dead {
                 continue;
             }
-            let m = Matcher {
-                db,
-                gp: &gp,
-                const_map: &const_map,
-                rule: &program.rules[rule_index],
-                plan,
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
+            let m = g.matcher(rule_index, &gp);
             let outer = m.outer_len();
             sizing_probes += m.probes.get();
             for (lo, hi) in crate::par::chunk_bounds(outer, threads) {
@@ -724,19 +641,15 @@ pub fn par_ground_with_limit_recorded(
             per_task.iter().map(|(_, _, p)| *p).sum(),
         );
     }
-    let mut rules: Vec<GroundedRule> = Vec::new();
-    for (mut out, overflow, _) in per_task {
-        if overflow || rules.len().saturating_add(out.len()) > max_rules {
+    // Concatenate the per-task stores in task order: the sequential
+    // grounded-rule order, whatever the thread count.
+    for (out, overflow, _) in per_task {
+        if overflow || gp.rules.len().saturating_add(out.len()) > max_rules {
             return Err(Error::GroundingLimit { max_rules });
         }
-        rules.append(&mut out);
+        gp.rules.append(&out);
     }
-
-    gp.rules_by_head = vec![Vec::new(); gp.idb_facts.len()];
-    for (i, r) in rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(i);
-    }
-    gp.rules = rules;
+    gp.index_rules_from(0);
     if let Some(t) = phase2_start {
         rec.stage_nanos(Stage::GroundPhase2, t.elapsed().as_nanos() as u64);
     }
@@ -813,34 +726,8 @@ pub fn extend_grounding(
 ) -> Result<(), Error> {
     let enabled = rec.enabled();
     let span_start = enabled.then(std::time::Instant::now);
-    program.validate()?;
-    let idbs = program.idbs();
-    let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
-        .map(|c| db.consts.get(program.consts.name(c)))
-        .collect();
-    let mut slots = SlotInterner::default();
-    let plans: Vec<RulePlan> = program
-        .rules
-        .iter()
-        .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
-        .collect();
-    let delta_plans: Vec<Vec<DeltaPlan>> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(ri, rule)| {
-            if plans[ri].dead {
-                return Vec::new();
-            }
-            plans[ri]
-                .idb_positions
-                .iter()
-                .map(|&dpos| plan_delta(rule, dpos, &idbs, &mut slots))
-                .collect()
-        })
-        .collect();
-    let mut indices = JoinIndices::build(&slots, db);
-    indices.extend_idb(gp);
+    let mut g = Grounder::new(program, db, enabled)?;
+    g.extend_indices(gp);
 
     // A rule is *revived* when it is live now but referenced a constant
     // absent from the pre-delta domain: it had zero groundings before, so
@@ -850,13 +737,13 @@ pub fn extend_grounding(
         .iter()
         .enumerate()
         .map(|(ri, rule)| {
-            !plans[ri].dead
+            !g.plans[ri].dead
                 && std::iter::once(&rule.head)
                     .chain(rule.body.iter())
                     .flat_map(|a| a.terms.iter())
                     .any(|t| {
                         matches!(t, Term::Const(c)
-                            if matches!(const_map[*c as usize], Some(id) if (id as usize) >= old_domain))
+                            if matches!(g.const_map[*c as usize], Some(id) if (id as usize) >= old_domain))
                     })
         })
         .collect();
@@ -875,22 +762,12 @@ pub fn extend_grounding(
     {
         let gpr: &GroundedProgram = gp;
         for (ri, rule) in program.rules.iter().enumerate() {
-            if plans[ri].dead {
+            if g.plans[ri].dead {
                 continue;
             }
-            let m = Matcher {
-                db,
-                gp: gpr,
-                const_map: &const_map,
-                rule,
-                plan: &plans[ri],
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
+            let m = g.matcher(ri, gpr);
             let mut on = |bindings: &Bindings, _: &[BodyMatch]| {
-                let head = instantiate(&rule.head, bindings, &const_map)
+                let head = instantiate(&rule.head, bindings, &g.const_map)
                     .expect("head vars bound by safety; dead rules skipped");
                 if gpr.fact(rule.head.pred, &head).is_none() {
                     found.push((rule.head.pred, head));
@@ -901,7 +778,7 @@ pub fn extend_grounding(
                 m.enumerate(&mut on);
             } else {
                 for (pos, atom) in rule.body.iter().enumerate() {
-                    if idbs.contains(&atom.pred) {
+                    if g.idbs.contains(&atom.pred) {
                         continue;
                     }
                     let has_new = db
@@ -921,29 +798,19 @@ pub fn extend_grounding(
         changed |= gp.push_fact(pred, tuple).is_some();
     }
     if changed {
-        indices.extend_idb(gp);
+        g.extend_indices(gp);
     }
     let mut delta_start = idb_delta_start;
     while changed {
         let hi = gp.idb_facts.len();
         {
             let gpr: &GroundedProgram = gp;
-            for (ri, dps) in delta_plans.iter().enumerate() {
+            for (ri, dps) in g.delta_plans.iter().enumerate() {
                 for dp in dps {
                     let rule = &program.rules[ri];
-                    let m = Matcher {
-                        db,
-                        gp: gpr,
-                        const_map: &const_map,
-                        rule,
-                        plan: &plans[ri],
-                        idbs: &idbs,
-                        indices: &indices,
-                        count_probes: enabled,
-                        probes: Cell::new(0),
-                    };
+                    let m = g.matcher(ri, gpr);
                     m.enumerate_delta(dp, delta_start, delta_start, hi, &mut |bindings, _| {
-                        let head = instantiate(&rule.head, bindings, &const_map)
+                        let head = instantiate(&rule.head, bindings, &g.const_map)
                             .expect("head vars bound by safety; dead rules skipped");
                         if gpr.fact(rule.head.pred, &head).is_none() {
                             found.push((rule.head.pred, head));
@@ -960,32 +827,22 @@ pub fn extend_grounding(
             changed |= gp.push_fact(pred, tuple).is_some();
         }
         if changed {
-            indices.extend_idb(gp);
+            g.extend_indices(gp);
         }
     }
 
     // Phase 2 (delta rule enumeration): every grounding with ≥ 1 new
     // body fact, exactly once, appended in (rule, pinned position) order.
     let base_rules = gp.rules.len();
-    let mut new_rules: Vec<GroundedRule> = Vec::new();
+    let mut new_rules = CompactRules::new();
     let mut overflow = false;
     {
         let gpr: &GroundedProgram = gp;
         for (ri, rule) in program.rules.iter().enumerate() {
-            if plans[ri].dead {
+            if g.plans[ri].dead {
                 continue;
             }
-            let m = Matcher {
-                db,
-                gp: gpr,
-                const_map: &const_map,
-                rule,
-                plan: &plans[ri],
-                idbs: &idbs,
-                indices: &indices,
-                count_probes: enabled,
-                probes: Cell::new(0),
-            };
+            let m = g.matcher(ri, gpr);
             let new_rules = &mut new_rules;
             let overflow = &mut overflow;
             let mut emit = |bindings: &Bindings, matches: &[BodyMatch]| {
@@ -993,32 +850,19 @@ pub fn extend_grounding(
                     *overflow = true;
                     return ControlFlow::Break(());
                 }
-                let head_tuple = instantiate(&rule.head, bindings, &const_map)
+                let head_tuple = instantiate(&rule.head, bindings, &g.const_map)
                     .expect("head vars bound by safety; dead rules skipped");
                 let head = gpr
                     .fact(rule.head.pred, &head_tuple)
                     .expect("head derivable at delta fixpoint");
-                let mut body_idb = Vec::new();
-                let mut body_edb = Vec::new();
-                for bm in matches {
-                    match *bm {
-                        BodyMatch::Idb(i) => body_idb.push(i),
-                        BodyMatch::Edb(f) => body_edb.push(f),
-                    }
-                }
-                new_rules.push(GroundedRule {
-                    rule_index: ri,
-                    head,
-                    body_idb,
-                    body_edb,
-                });
+                new_rules.push(ri, head, matches);
                 ControlFlow::Continue(())
             };
             if revived[ri] {
                 m.enumerate(&mut emit);
             } else {
                 for (pos, atom) in rule.body.iter().enumerate() {
-                    let has_new = if idbs.contains(&atom.pred) {
+                    let has_new = if g.idbs.contains(&atom.pred) {
                         gpr.facts_of(atom.pred)
                             .last()
                             .is_some_and(|&i| i >= idb_delta_start)
@@ -1038,11 +882,8 @@ pub fn extend_grounding(
             }
         }
     }
-    gp.rules_by_head.resize(gp.idb_facts.len(), Vec::new());
-    for (i, r) in new_rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(base_rules + i);
-    }
-    gp.rules.append(&mut new_rules);
+    gp.rules.append(&new_rules);
+    gp.index_rules_from(base_rules);
     if enabled {
         rec.counter(Counter::IndexProbes, probes);
         rec.counter(
@@ -1086,10 +927,8 @@ pub fn retract_facts_from_grounding(gp: &mut GroundedProgram, retracted: &[FactI
     });
     roots.sort_unstable();
     roots.dedup();
-    gp.rules_by_head = vec![Vec::new(); gp.idb_facts.len()];
-    for (i, r) in gp.rules.iter().enumerate() {
-        gp.rules_by_head[r.head].push(i);
-    }
+    gp.rules_by_head.clear();
+    gp.index_rules_from(0);
     roots
 }
 
@@ -1583,28 +1422,29 @@ fn instantiate_into(
 }
 
 /// One streamed grounding handed to the fused ⊕-worklist: the callback
-/// receives `(rule_index, head predicate, head tuple, body matches)` and
-/// the grounding is never stored. The head tuple is borrowed from a
+/// receives `(head predicate, head tuple, body matches)` and the
+/// grounding is never stored. The head tuple is borrowed from a
 /// buffer the grounder reuses across calls — the sink copies it only if
 /// the head is a fact it has not seen before.
-pub(crate) trait FusedSink: FnMut(usize, PredId, &[ConstId], &[BodyMatch]) {}
-impl<F: FnMut(usize, PredId, &[ConstId], &[BodyMatch])> FusedSink for F {}
+pub(crate) trait FusedSink: FnMut(PredId, &[ConstId], &[BodyMatch]) {}
+impl<F: FnMut(PredId, &[ConstId], &[BodyMatch])> FusedSink for F {}
 
-/// The grounding half of the fused ground+eval pipeline: the phase-1
-/// planning artifacts (rule plans, hoisted delta plans, shared hash join
-/// indices) packaged so `fused::fused_eval` can drive discovery rounds
-/// itself and consume each grounding as it is enumerated, instead of
-/// receiving a materialized [`GroundedProgram::rules`] vector.
+/// The planning artifacts every grounding pass joins through — rule
+/// plans, hoisted delta plans, shared hash join indices — built once per
+/// pass by [`par_ground_with_limit_recorded`], [`extend_grounding`] and
+/// the fused pipeline. The round drivers below let `fused::fused_eval`
+/// run discovery itself and consume each grounding as it is enumerated,
+/// instead of receiving a materialized [`GroundedProgram::rules`] store.
 ///
-/// Enumeration order is the contract: [`round0`](FusedGrounder::round0)
+/// Enumeration order is the contract: [`round0`](Grounder::round0)
 /// replays phase 1's round-0 task order (one full join per rule, rule
-/// order) and [`delta_round`](FusedGrounder::delta_round) replays the
+/// order) and [`delta_round`](Grounder::delta_round) replays the
 /// `(rule, delta position)` task order over the full frontier — so a
 /// consumer that appends newly derived head facts in first-discovery
 /// order reproduces [`par_ground_with_limit`]'s fact interning order
 /// **bit-identically**. Everything downstream that indexes by fact
 /// position (values, snapshots, oracle tests) relies on that.
-pub(crate) struct FusedGrounder<'p> {
+pub(crate) struct Grounder<'p> {
     program: &'p Program,
     db: &'p Database,
     idbs: HashSet<PredId>,
@@ -1615,7 +1455,7 @@ pub(crate) struct FusedGrounder<'p> {
     count_probes: bool,
 }
 
-impl<'p> FusedGrounder<'p> {
+impl<'p> Grounder<'p> {
     /// Validate the program and build the join plans and EDB-side indices.
     pub(crate) fn new(
         program: &'p Program,
@@ -1624,6 +1464,8 @@ impl<'p> FusedGrounder<'p> {
     ) -> Result<Self, Error> {
         program.validate()?;
         let idbs = program.idbs();
+        // Resolve program constants into the database's domain; a rule
+        // whose constant is outside the active domain can never fire.
         let const_map: Vec<Option<ConstId>> = (0..program.consts.len() as u32)
             .map(|c| db.consts.get(program.consts.name(c)))
             .collect();
@@ -1633,6 +1475,9 @@ impl<'p> FusedGrounder<'p> {
             .iter()
             .map(|r| plan_rule(r, &idbs, &const_map, &mut slots))
             .collect();
+        // One delta plan per (live rule, IDB body position): the
+        // semi-naive re-fire obligations, planned with the delta atom
+        // hoisted.
         let delta_plans: Vec<Vec<DeltaPlan>> = program
             .rules
             .iter()
@@ -1649,7 +1494,7 @@ impl<'p> FusedGrounder<'p> {
             })
             .collect();
         let indices = JoinIndices::build(&slots, db);
-        Ok(FusedGrounder {
+        Ok(Grounder {
             program,
             db,
             idbs,
@@ -1689,7 +1534,7 @@ impl<'p> FusedGrounder<'p> {
             let m = self.matcher(ri, gp);
             m.enumerate(&mut |bindings, matches| {
                 instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                sink(ri, head_atom.pred, &head, matches);
+                sink(head_atom.pred, &head, matches);
                 ControlFlow::Continue(())
             });
             probes += m.probes.get();
@@ -1722,7 +1567,7 @@ impl<'p> FusedGrounder<'p> {
                     hi,
                     &mut |bindings, matches| {
                         instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                        sink(ri, head_atom.pred, &head, matches);
+                        sink(head_atom.pred, &head, matches);
                         ControlFlow::Continue(())
                     },
                 );
@@ -1752,7 +1597,7 @@ impl<'p> FusedGrounder<'p> {
                 let m = self.matcher(ri, gp);
                 m.enumerate_changed(dp, changed, &mut |bindings, matches| {
                     instantiate_into(head_atom, bindings, &self.const_map, &mut head);
-                    sink(ri, head_atom.pred, &head, matches);
+                    sink(head_atom.pred, &head, matches);
                     ControlFlow::Continue(())
                 });
                 probes += m.probes.get();
@@ -1768,7 +1613,7 @@ impl<'p> FusedGrounder<'p> {
         self.indices.extend_idb(gp);
     }
 
-    /// Parallel [`round0`](FusedGrounder::round0): one task per rule,
+    /// Parallel [`round0`](Grounder::round0): one task per rule,
     /// each buffering its groundings into a [`FusedBatch`] instead of
     /// sinking them live. Batches come back in rule order, so draining
     /// them in order replays the sequential enumeration exactly. Returns
@@ -1807,7 +1652,7 @@ impl<'p> FusedGrounder<'p> {
         (outs.into_iter().map(|(b, _)| b).collect(), probes)
     }
 
-    /// Parallel [`delta_round`](FusedGrounder::delta_round): the frontier
+    /// Parallel [`delta_round`](Grounder::delta_round): the frontier
     /// is sharded exactly as phase 1 shards it — one task per `(rule,
     /// delta position, frontier sub-range)` in lexicographic order — and
     /// each task buffers its groundings instead of sinking them live.
@@ -2175,9 +2020,9 @@ mod tests {
                     gp.idb_facts[r.head].clone(),
                     r.body_idb
                         .iter()
-                        .map(|&i| gp.idb_facts[i].clone())
+                        .map(|&i| gp.idb_facts[i as usize].clone())
                         .collect::<Vec<_>>(),
-                    r.body_edb.clone(),
+                    r.body_edb.to_vec(),
                 )
             })
             .collect();
@@ -2344,11 +2189,38 @@ mod tests {
         assert!(matches!(err, Err(Error::GroundingLimit { .. })));
     }
 
+    /// The stored rules as owned `(rule_index, head, body_idb, body_edb)`
+    /// tuples, in store order.
+    fn owned_rules(gp: &GroundedProgram) -> Vec<(usize, usize, Vec<u32>, Vec<FactId>)> {
+        gp.rules
+            .iter()
+            .map(|r| {
+                (
+                    r.rule_index,
+                    r.head,
+                    r.body_idb.to_vec(),
+                    r.body_edb.to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// `rules_by_head` must be exactly the inverse of the stored heads:
+    /// one entry per fact, listing that fact's rules in ascending order.
+    fn assert_head_index_matches_rules(gp: &GroundedProgram) {
+        let mut expected = vec![Vec::new(); gp.idb_facts.len()];
+        for (i, r) in gp.rules.iter().enumerate() {
+            expected[r.head].push(i);
+        }
+        assert_eq!(gp.rules_by_head, expected);
+    }
+
     #[test]
     fn retract_removes_exactly_the_rules_citing_the_fact() {
         let mut p = tc();
         let g = generators::path(3, "E");
         let (mut db, edge_facts) = Database::from_graph(&mut p, &g);
+        let e = p.preds.get("E").unwrap();
         let mut gp = ground(&p, &db).unwrap();
         let before = gp.rules.len();
         let citing = gp
@@ -2369,15 +2241,54 @@ mod tests {
             .iter()
             .all(|r| !r.body_edb.contains(&edge_facts[1])));
         // Index invariants: rules_by_head rebuilt, roots are valid facts.
-        assert_eq!(gp.rules_by_head.len(), gp.idb_facts.len());
-        for (i, r) in gp.rules.iter().enumerate() {
-            assert!(gp.rules_by_head[r.head].contains(&i));
-        }
+        assert_head_index_matches_rules(&gp);
         for &root in &roots {
             assert!(root < gp.idb_facts.len());
         }
         // Zombie invariant: idb_facts are retained even when underivable.
         let t = p.preds.get("T").unwrap();
         assert_eq!(gp.facts_of(t).len(), 6);
+
+        // Alternate in-place extensions and retractions on the same
+        // grounding: after each step the CSR store must equal the plain
+        // model of what the step does (append to / filter the previous
+        // rule list), and `rules_by_head` must index exactly its heads.
+        let extend = |db: &mut Database, gp: &mut GroundedProgram, (u, v): (usize, usize)| {
+            let edb_delta_start = db.num_facts() as FactId;
+            let old_domain = db.domain_size();
+            let tuple = vec![db.node_const(u).unwrap(), db.node_const(v).unwrap()];
+            db.insert(e, tuple);
+            let before = owned_rules(gp);
+            extend_grounding(&p, db, gp, edb_delta_start, old_domain, usize::MAX, &NOOP).unwrap();
+            let after = owned_rules(gp);
+            assert!(after.len() > before.len(), "edge ({u},{v}) adds rules");
+            assert_eq!(after[..before.len()], before[..], "extension only appends");
+            assert_head_index_matches_rules(gp);
+        };
+        let retract = |db: &mut Database, gp: &mut GroundedProgram, fact: FactId| {
+            let (pred, tuple) = db.fact(fact);
+            let tuple = tuple.to_vec();
+            assert_eq!(db.retract(pred, &tuple), Some(fact));
+            let mut expected = owned_rules(gp);
+            expected.retain(|r| !r.3.contains(&fact));
+            retract_facts_from_grounding(gp, &[fact]);
+            assert_eq!(
+                owned_rules(gp),
+                expected,
+                "retract removes only citing rules"
+            );
+            assert_head_index_matches_rules(gp);
+        };
+        extend(&mut db, &mut gp, (1, 2)); // re-insert the retracted edge
+        retract(&mut db, &mut gp, edge_facts[0]);
+        extend(&mut db, &mut gp, (3, 0));
+
+        // Every fact and rule of a from-scratch grounding is present: the
+        // maintained store is a superset, up to zombie rules.
+        let full = ground(&p, &db).unwrap();
+        let (facts, rules) = canon(&gp);
+        let (full_facts, full_rules) = canon(&full);
+        assert!(full_facts.iter().all(|f| facts.binary_search(f).is_ok()));
+        assert!(full_rules.iter().all(|r| rules.binary_search(r).is_ok()));
     }
 }

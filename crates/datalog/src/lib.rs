@@ -12,7 +12,7 @@
 //!   §2.3) and the iterations-to-fixpoint boundedness probe (§4);
 //! * [`fused`] — fused ground+eval: streams grounded rules straight into
 //!   the semi-naive ⊕-worklist, never materializing the rule vector;
-//! * [`csr`] — compact CSR storage for rules that must be retained;
+//! * [`csr`] — compact CSR storage, the one store of grounded rules;
 //! * [`prooftree`] — tight proof trees and brute-force provenance
 //!   polynomials (§2.4), the small-instance oracle;
 //! * [`expansion`] — CQ expansions, homomorphisms, and Theorem 4.6
@@ -45,7 +45,7 @@ pub use provcirc_error::Error;
 
 pub use ast::{Atom, Program, Rule, Term};
 pub use classify::{classify, ProgramClass};
-pub use csr::CompactRules;
+pub use csr::{CompactRules, RuleRef};
 pub use database::{Database, FactId};
 pub use eval::{
     default_budget, dependency_csr, edb_factors, eval_all_ones, eval_with_strategy, ico,
@@ -55,12 +55,11 @@ pub use eval::{
 };
 pub use expansion::{boundedness_evidence, expansions, homomorphism, BoundednessEvidence, Cq};
 pub use fused::{
-    fused_eval, fused_eval_recorded, fused_eval_retaining, par_fused_eval, par_fused_eval_recorded,
-    FusedOutcome,
+    fused_eval, fused_eval_recorded, par_fused_eval, par_fused_eval_recorded, FusedOutcome,
 };
 pub use ground::{
     extend_grounding, ground, ground_with_limit, par_ground, par_ground_with_limit,
-    par_ground_with_limit_recorded, retract_facts_from_grounding, GroundedProgram, GroundedRule,
+    par_ground_with_limit_recorded, retract_facts_from_grounding, GroundedProgram,
 };
 pub use magic::{magic_point_eval, magic_rewrite, MagicPointOutcome, MagicRewrite};
 pub use parser::parse_program;

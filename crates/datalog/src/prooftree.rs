@@ -94,16 +94,16 @@ fn trees_for(
     let mut out = Vec::new();
     path.push(fact);
     'rules: for &ri in &gp.rules_by_head[fact] {
-        let rule = &gp.rules[ri];
+        let rule = gp.rules.get(ri);
         // Tightness: a child equal to an ancestor would repeat a fact on a
         // leaf-to-root path.
-        if rule.body_idb.iter().any(|f| path.contains(f)) {
+        if rule.body_idb.iter().any(|&f| path.contains(&(f as usize))) {
             continue;
         }
         // Subtree options per IDB body fact.
         let mut options: Vec<Vec<ProofNode>> = Vec::with_capacity(rule.body_idb.len());
-        for &child in &rule.body_idb {
-            let sub = trees_for(gp, child, path, cap, truncated);
+        for &child in rule.body_idb {
+            let sub = trees_for(gp, child as usize, path, cap, truncated);
             if sub.is_empty() {
                 continue 'rules;
             }

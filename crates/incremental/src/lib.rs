@@ -182,13 +182,13 @@ impl<S: Semiring> MaintainedFixpoint<S> {
             firings += 1;
             let ri = ri as usize;
             pending[ri] = false;
-            let rule = &gp.rules[ri];
+            let rule = gp.rules.get(ri);
             let mut prod = S::one();
-            for &f in &rule.body_edb {
+            for &f in rule.body_edb {
                 prod.mul_assign(&assign.value(f));
             }
-            for &i in &rule.body_idb {
-                prod.mul_assign(&self.values[i]);
+            for &i in rule.body_idb {
+                prod.mul_assign(&self.values[i as usize]);
             }
             if prod.is_zero() {
                 continue;
@@ -252,7 +252,7 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         }
         while let Some(i) = stack.pop() {
             for &ri in &deps[start[i]..start[i + 1]] {
-                let h = gp.rules[ri as usize].head;
+                let h = gp.rules.get(ri as usize).head;
                 if !in_cone[h] {
                     in_cone[h] = true;
                     stack.push(h);
@@ -282,13 +282,13 @@ impl<S: Semiring> MaintainedFixpoint<S> {
         for _ in 0..budget {
             let mut next: Vec<S> = vec![S::zero(); cone_facts.len()];
             for &ri in &cone_rules {
-                let rule = &gp.rules[ri as usize];
+                let rule = gp.rules.get(ri as usize);
                 let mut prod = S::one();
-                for &f in &rule.body_edb {
+                for &f in rule.body_edb {
                     prod.mul_assign(&assign.value(f));
                 }
-                for &i in &rule.body_idb {
-                    prod.mul_assign(&self.values[i]);
+                for &i in rule.body_idb {
+                    prod.mul_assign(&self.values[i as usize]);
                 }
                 firings += 1;
                 next[cone_pos[rule.head]].add_assign(&prod);
